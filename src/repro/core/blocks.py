@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable
 
 
@@ -27,9 +28,14 @@ class Partition:
     sizes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if sum(self.sizes) != self.n:
+        # Prefix offsets, computed once: ``_offsets[b]`` is where block
+        # ``b`` starts and ``_offsets[p]`` the covered total.  Not a
+        # dataclass field, so equality, hashing and repr are unchanged.
+        offsets = (0, *accumulate(self.sizes))
+        if offsets[-1] != self.n:
             raise ValueError(
                 f"block sizes {self.sizes} do not cover {self.n} elements")
+        object.__setattr__(self, "_offsets", offsets)
 
     @property
     def p(self) -> int:
@@ -39,11 +45,10 @@ class Partition:
         return self.sizes[block]
 
     def offset(self, block: int) -> int:
-        return sum(self.sizes[:block])
+        return self._offsets[block]
 
     def slice_of(self, block: int) -> slice:
-        off = self.offset(block)
-        return slice(off, off + self.sizes[block])
+        return slice(self._offsets[block], self._offsets[block + 1])
 
     def max_size(self) -> int:
         return max(self.sizes)

@@ -14,14 +14,21 @@ stack at p in {2, 47, 48}).
 Builders are pure functions of ``(p, n, partition, root)``; schedules
 are cached per argument tuple (they are immutable and rank-complete, so
 one instance serves a whole simulation).
+
+Steps share their immutable :class:`~repro.sched.ir.Interval` operands:
+a ring schedule over a ``p``-block partition names only ``p`` distinct
+block intervals (and a row-exchange schedule only ``p`` rows), so each
+builder makes those once (:func:`block_intervals`, :func:`row_intervals`)
+and indexes them per rank and round instead of allocating a fresh
+interval for each of the ``O(p^2)`` steps.  Sharing changes nothing
+observable: intervals compare, hash and print by value.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
-from repro.core.blocks import Partition
 from repro.sched.ir import (
     CopyBlock,
     Exchange,
@@ -34,6 +41,12 @@ from repro.sched.ir import (
     Step,
 )
 
+if TYPE_CHECKING:
+    # Importing repro.core at module level would close an import cycle:
+    # the communicator (repro.core.comm) imports the schedule engine,
+    # which imports this module.
+    from repro.core.blocks import Partition
+
 
 def _largest_pow2_below(p: int) -> int:
     pow2 = 1
@@ -42,13 +55,22 @@ def _largest_pow2_below(p: int) -> int:
     return pow2
 
 
+def block_intervals(part: Partition) -> tuple[Interval, ...]:
+    """The partition's ``p`` block intervals of ``work``, in block order."""
+    return tuple(Interval("work", part.offset(b), part.offset(b + 1))
+                 for b in range(part.p))
+
+
+def row_intervals(buf: str, rows: int, n: int) -> tuple[Interval, ...]:
+    """``rows`` consecutive ``n``-element rows of ``buf``."""
+    return tuple(Interval(buf, i * n, (i + 1) * n) for i in range(rows))
+
+
 def _block_iv(buf: str, part: Partition, lo_block: int,
               hi_block: Optional[int] = None) -> Interval:
     """Interval covering blocks ``[lo_block, hi_block]`` (inclusive)."""
     hi_block = lo_block if hi_block is None else hi_block
-    lo = part.offset(lo_block)
-    hi = part.offset(hi_block) + part.size(hi_block)
-    return Interval(buf, lo, hi)
+    return Interval(buf, part.offset(lo_block), part.offset(hi_block + 1))
 
 
 def _ring_send_first(me: int) -> bool:
@@ -70,37 +92,37 @@ def _init_copy(me: int, n: int, work_lo: int = 0) -> CopyBlock:
 # --------------------------------------------------------------------- #
 # Ring phases (reduce_scatter.py / allgather.py)
 # --------------------------------------------------------------------- #
-def _ring_reduce_scatter_steps(me: int, p: int, part: Partition,
+def _ring_reduce_scatter_steps(me: int, p: int,
+                               blocks: tuple[Interval, ...],
                                shift: int = 0) -> list[Step]:
-    """Port of ``ring_reduce_scatter``'s round loop over buffer ``work``."""
+    """Port of ``ring_reduce_scatter``'s round loop over buffer ``work``
+    (``blocks`` from :func:`block_intervals`)."""
     steps: list[Step] = []
     right, left = (me + 1) % p, (me - 1) % p
     vme = (me - shift) % p
     send_first = _ring_send_first(me)
     for r in range(p - 1):
-        send_block = (vme - 1 - r) % p
-        recv_block = (vme - 2 - r) % p
         steps.append(Exchange(
-            send_peer=right, send=_block_iv("work", part, send_block),
-            recv_peer=left, recv=_block_iv("work", part, recv_block),
+            send_peer=right, send=blocks[(vme - 1 - r) % p],
+            recv_peer=left, recv=blocks[(vme - 2 - r) % p],
             send_first=send_first, reduce=True, round=r))
     return steps
 
 
-def _ring_allgather_blocks_steps(me: int, p: int, part: Partition,
+def _ring_allgather_blocks_steps(me: int, p: int,
+                                 blocks: tuple[Interval, ...],
                                  shift: int = 0,
                                  round_base: int = 0) -> list[Step]:
-    """Port of ``ring_allgather_blocks``'s round loop over ``work``."""
+    """Port of ``ring_allgather_blocks``'s round loop over ``work``
+    (``blocks`` from :func:`block_intervals`)."""
     steps: list[Step] = []
     right, left = (me + 1) % p, (me - 1) % p
     vme = (me - shift) % p
     send_first = _ring_send_first(me)
     for r in range(p - 1):
-        send_block = (vme - r) % p
-        recv_block = (vme - 1 - r) % p
         steps.append(Exchange(
-            send_peer=right, send=_block_iv("work", part, send_block),
-            recv_peer=left, recv=_block_iv("work", part, recv_block),
+            send_peer=right, send=blocks[(vme - r) % p],
+            recv_peer=left, recv=blocks[(vme - 1 - r) % p],
             send_first=send_first, round=round_base + r))
     return steps
 
@@ -203,12 +225,13 @@ def _binomial_gather_steps(me: int, p: int, root: int,
 def build_rsag_allreduce(p: int, n: int, part: Partition,
                          root: int) -> Schedule:
     """Ring ReduceScatter + ring Allgather (``rsag_allreduce``)."""
+    blocks = block_intervals(part)
     plans = []
     for me in range(p):
         steps: list[Step] = [_init_copy(me, n)]
         if p > 1:
-            steps += _ring_reduce_scatter_steps(me, p, part)
-            steps += _ring_allgather_blocks_steps(me, p, part)
+            steps += _ring_reduce_scatter_steps(me, p, blocks)
+            steps += _ring_allgather_blocks_steps(me, p, blocks)
         plans.append(tuple(steps))
     return Schedule("allreduce", "rsag", p, n, {"in": n, "work": n},
                     tuple(plans), {"part_sizes": part.sizes, "root": 0})
@@ -348,11 +371,12 @@ def build_rsg_reduce(p: int, n: int, part: Partition,
                      root: int) -> Schedule:
     """Ring ReduceScatter (root-relative vranks) + binomial gather
     (``reduce_scatter_gather_reduce``)."""
+    blocks = block_intervals(part)
     plans = []
     for me in range(p):
         steps: list[Step] = [_init_copy(me, n)]
         if p > 1:
-            steps += _ring_reduce_scatter_steps(me, p, part, shift=root)
+            steps += _ring_reduce_scatter_steps(me, p, blocks, shift=root)
             steps += _binomial_gather_steps(me, p, root, part)
         plans.append(tuple(steps))
     return Schedule("reduce", "rsg", p, n, {"in": n, "work": n},
@@ -382,6 +406,7 @@ def build_scatter_allgather_bcast(p: int, n: int, part: Partition,
                                   root: int) -> Schedule:
     """Binomial scatter of blocks + ring allgather
     (``scatter_allgather_bcast``)."""
+    blocks = block_intervals(part)
     plans = []
     for me in range(p):
         steps: list[Step] = []
@@ -389,7 +414,8 @@ def build_scatter_allgather_bcast(p: int, n: int, part: Partition,
             steps.append(_init_copy(me, n))
         if p > 1:
             steps += _binomial_scatter_steps(me, p, root, part)
-            steps += _ring_allgather_blocks_steps(me, p, part, shift=root)
+            steps += _ring_allgather_blocks_steps(me, p, blocks,
+                                                  shift=root)
         plans.append(tuple(steps))
     return Schedule("bcast", "scatter_allgather", p, n,
                     {"in": n, "work": n}, tuple(plans),
@@ -403,10 +429,7 @@ def build_ring_allgather(p: int, n: int, part: Partition,
                          root: int) -> Schedule:
     """Port of ``ring_allgather`` (row exchange over the ``(p, n)``
     result, flattened)."""
-
-    def row(i: int) -> Interval:
-        return Interval("work", i * n, (i + 1) * n)
-
+    rows = row_intervals("work", p, n)
     plans = []
     for me in range(p):
         steps: list[Step] = [_init_copy(me, n, work_lo=me * n)]
@@ -414,8 +437,8 @@ def build_ring_allgather(p: int, n: int, part: Partition,
         send_first = _ring_send_first(me)
         for r in range(p - 1):
             steps.append(Exchange(
-                send_peer=right, send=row((me - r) % p),
-                recv_peer=left, recv=row((me - 1 - r) % p),
+                send_peer=right, send=rows[(me - r) % p],
+                recv_peer=left, recv=rows[(me - 1 - r) % p],
                 send_first=send_first, round=r))
         plans.append(tuple(steps))
     return Schedule("allgather", "ring", p, n,
@@ -453,11 +476,12 @@ def build_bruck_allgather(p: int, n: int, part: Partition,
 # --------------------------------------------------------------------- #
 def build_ring_reduce_scatter(p: int, n: int, part: Partition,
                               root: int) -> Schedule:
+    blocks = block_intervals(part)
     plans = []
     for me in range(p):
         steps: list[Step] = [_init_copy(me, n)]
         if p > 1:
-            steps += _ring_reduce_scatter_steps(me, p, part)
+            steps += _ring_reduce_scatter_steps(me, p, blocks)
         plans.append(tuple(steps))
     return Schedule("reduce_scatter", "ring", p, n,
                     {"in": n, "work": n}, tuple(plans),
@@ -468,22 +492,20 @@ def build_pairwise_alltoall(p: int, n: int, part: Partition,
                             root: int) -> Schedule:
     """Port of ``pairwise_alltoall`` (round ``r`` pairs ``me`` with
     ``(r - me) % p``; ``n`` is the per-destination row length)."""
-
-    def row(buf: str, i: int) -> Interval:
-        return Interval(buf, i * n, (i + 1) * n)
-
+    in_rows = row_intervals("in", p, n)
+    work_rows = row_intervals("work", p, n)
     plans = []
     for me in range(p):
         steps: list[Step] = []
         for r in range(p):
             partner = (r - me) % p
             if partner == me:
-                steps.append(CopyBlock(row("in", me), row("work", me),
+                steps.append(CopyBlock(in_rows[me], work_rows[me],
                                        charged=True, round=r))
             else:
                 steps.append(Exchange(
-                    send_peer=partner, send=row("in", partner),
-                    recv_peer=partner, recv=row("work", partner),
+                    send_peer=partner, send=in_rows[partner],
+                    recv_peer=partner, recv=work_rows[partner],
                     send_first=_pair_send_first(me, partner), round=r))
         plans.append(tuple(steps))
     return Schedule("alltoall", "pairwise", p, n,
@@ -521,7 +543,7 @@ def build_recursive_doubling_scan(p: int, n: int, part: Partition,
 # --------------------------------------------------------------------- #
 # Registry
 # --------------------------------------------------------------------- #
-Builder = Callable[[int, int, Partition, int], Schedule]
+Builder = Callable[[int, int, "Partition", int], Schedule]
 
 #: (kind -> name -> builder).  Names double as ``algo="sched:<name>"``
 #: labels on the :class:`~repro.core.comm.Communicator` methods.
@@ -584,6 +606,8 @@ def builder_names(kind: str) -> tuple[str, ...]:
 def _build_cached(kind: str, name: str, p: int, n: int,
                   part_sizes: Optional[tuple[int, ...]],
                   root: int) -> Schedule:
+    from repro.core.blocks import Partition
+
     builder = BUILDERS[kind][name]
     part = (Partition(n, part_sizes) if part_sizes is not None
             else Partition(n, (n,)))

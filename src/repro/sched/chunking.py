@@ -119,8 +119,7 @@ def chunk_schedule(sched: Schedule, c: int) -> Schedule:
     """Split every transfer of ``sched`` into ``c`` sub-messages.
 
     ``c <= 1`` returns the schedule unchanged.  The result is renamed
-    ``<name>+c<c>`` and records the chunk layout in ``meta`` (the cost
-    memo keys on it — see :func:`repro.sched.cost.schedule_cost_key`).
+    ``<name>+c<c>`` and records the chunk layout in ``meta``.
     """
     if c <= 1:
         return sched

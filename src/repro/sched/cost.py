@@ -31,6 +31,7 @@ default ``overhead=None`` every function below behaves exactly as before
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -73,6 +74,10 @@ class SoftwareOverhead:
 
 #: The all-zero overhead used when ``overhead=None`` is passed.
 _NO_OVERHEAD = SoftwareOverhead()
+
+#: Phase keys of untagged steps before / after a rank's tagged rounds.
+_PROLOGUE = object()
+_EPILOGUE = object()
 
 
 def message_cost(model: LatencyModel, src: int, dst: int,
@@ -273,21 +278,29 @@ def schedule_cost_key(sched: Schedule, *, blocking: bool,
                       overhead: Optional[SoftwareOverhead]) -> tuple:
     """Memo key for one whole-schedule estimate.
 
-    Includes everything the estimate is a function of: the schedule
-    identity ``(kind, name, p, n)``, the partition block sizes and root
-    it was built with, the **chunk layout** (``meta["chunks"]`` — a
-    chunked variant must never collide with its base builder or with a
-    different chunk count, even though all share the base's step
-    shapes), the pricing regime, and a structural hash of the plans —
-    so a hand-mutated schedule (the verifier's broken fixtures) can
-    never be served its pristine namesake's estimate.
+    The schedule enters by **identity** (``id(sched)``), next to the
+    pricing regime.  Distinct live schedules never share an identity, so
+    a chunked variant, a differently partitioned build or a hand-mutated
+    copy (the verifier's broken fixtures) can never be served another
+    schedule's estimate.  :func:`estimate_schedule_cost` ties every entry
+    to its schedule's lifetime (a :func:`weakref.finalize` drops it when
+    the schedule is collected), so an identity that a later object
+    reuses never finds a stale estimate, and the memo holds entries only
+    for live schedules.  Builders return cached instances
+    (:func:`repro.sched.builders.build_schedule`), so repeated pricing of
+    one schedule still hits.  The key costs O(1), where hashing the plans
+    would walk every step of the schedule on every call.
     """
-    meta = sched.meta
-    sizes = meta.get("part_sizes")
-    return ("schedcost", sched.kind, sched.name, sched.p, sched.n,
-            tuple(sizes) if sizes is not None else None,
-            meta.get("root"), meta.get("chunks"), hash(sched.plans),
-            blocking, overhead)
+    return ("schedcost", id(sched), blocking, overhead)
+
+
+def _forget_schedule_cost(model_ref: "weakref.ref[LatencyModel]",
+                          key: tuple) -> None:
+    """Finalizer: drop a collected schedule's estimate from its model."""
+    model = model_ref()
+    if model is not None:
+        for memo in model._memo:
+            memo.pop(key, None)
 
 
 def invalidate_schedule_costs(model: LatencyModel) -> int:
@@ -328,7 +341,8 @@ def estimate_schedule_cost(sched: Schedule, model: LatencyModel, *,
     table under :func:`schedule_cost_key` — the synthesizer prices the
     same candidates across repeated searches and the tuned stack's
     fallback prices per call site, so the second look-up of any
-    ``(schedule, regime)`` pair is a dict hit.
+    ``(schedule, regime)`` pair is a dict hit.  Each entry lives as long
+    as its schedule does.
     """
     sched_memo = (model._memo[model.config.erratum_enabled]
                   if model._cache_enabled else None)
@@ -339,11 +353,11 @@ def estimate_schedule_cost(sched: Schedule, model: LatencyModel, *,
         cached = sched_memo.get(cache_key)
         if cached is not None:
             return cached
-    # phase key -> rank -> accumulated cost.  Phases are ordered by
-    # first appearance on any rank; untagged prologue/epilogue steps get
-    # sentinel keys that sort before/after every real round.
-    phases: dict[object, dict[int, int]] = {}
-    order: list[object] = []
+    # phase -> the largest single-rank cost of that phase so far.  A
+    # phase is a round tag, or a rank's untagged steps before (prologue)
+    # or after (epilogue) its first tagged one.  The total sums integers,
+    # so the order the phases appear in does not matter.
+    phase_max: dict[object, int] = {}
     buffers = dict(sched.buffers)
     # Per-call step-cost memo (overhead regime only, where the analytic
     # engine prices thousands of steps per schedule).  Every overhead
@@ -377,19 +391,14 @@ def estimate_schedule_cost(sched: Schedule, model: LatencyModel, *,
             if memo is not None:
                 memo["hoptbl"] = hop_table
     for rank, plan in enumerate(sched.plans):
+        rank_cost: dict[object, int] = {}
         seen_round = False
         for step in plan:
-            if step.round is not None:
-                key: object = ("round", step.round)
+            key: object = step.round
+            if key is not None:
                 seen_round = True
-            elif not seen_round:
-                key = ("pre", None)
             else:
-                key = ("post", None)
-            if key not in phases:
-                phases[key] = {}
-                order.append(key)
-            bucket = phases[key]
+                key = _EPILOGUE if seen_round else _PROLOGUE
             if overhead is None:
                 cost = step_cost(model, step, rank, blocking=blocking,
                                  buffers=buffers, overhead=None)
@@ -424,10 +433,15 @@ def estimate_schedule_cost(sched: Schedule, model: LatencyModel, *,
                                      buffers=buffers, overhead=overhead)
                     if memo_key is not None:
                         step_memo[memo_key] = cost
-            bucket[rank] = bucket.get(rank, 0) + cost
-    total = sum(max(phases[key].values()) for key in order)
+            rank_cost[key] = rank_cost.get(key, 0) + cost
+        for key, cost in rank_cost.items():
+            if cost > phase_max.get(key, -1):
+                phase_max[key] = cost
+    total = sum(phase_max.values())
     if overhead is not None:
         total += overhead.call_ps
     if cache_key is not None:
         sched_memo[cache_key] = total
+        weakref.finalize(sched, _forget_schedule_cost, weakref.ref(model),
+                         cache_key).atexit = False
     return total

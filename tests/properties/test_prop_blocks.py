@@ -1,9 +1,18 @@
 """Property-based tests for block partitioning (optimization C)."""
 
+from dataclasses import fields
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.blocks import balanced_partition, standard_partition
+from repro.core.blocks import (
+    PARTITIONERS,
+    Partition,
+    balanced_partition,
+    standard_partition,
+)
+from repro.sched.builders import block_intervals
+from repro.sched.ir import Interval
 
 counts = st.integers(min_value=0, max_value=5000)
 ranks = st.integers(min_value=1, max_value=128)
@@ -117,3 +126,51 @@ def test_one_less_element_than_ranks(p):
     # Balanced: exactly one empty block, all others one element.
     assert bal.sizes == (1,) * (p - 1) + (0,)
     assert bal.max_size() - bal.min_size() <= 1
+
+
+# --------------------------------------------------------------------- #
+# Prefix offsets and the builders' shared block intervals, over arbitrary
+# block-size tuples (zero-size blocks included) and both partitioners
+# (n < p included).
+# --------------------------------------------------------------------- #
+
+@st.composite
+def partitions(draw):
+    if draw(st.booleans()):
+        sizes = tuple(draw(st.lists(st.integers(min_value=0, max_value=40),
+                                    min_size=1, max_size=64)))
+        return Partition(sum(sizes), sizes)
+    maker = PARTITIONERS[draw(st.sampled_from(sorted(PARTITIONERS)))]
+    p = draw(ranks)
+    return maker(draw(st.integers(min_value=0, max_value=3 * p)), p)
+
+
+@given(partitions())
+def test_offsets_are_prefix_sums(part):
+    for b in range(part.p + 1):
+        assert part.offset(b) == sum(part.sizes[:b])
+
+
+@given(partitions())
+def test_slice_of_tiles_the_vector(part):
+    covered = 0
+    for b in range(part.p):
+        s = part.slice_of(b)
+        assert (s.start, s.stop) == (covered, covered + part.size(b))
+        covered = s.stop
+    assert covered == part.n
+
+
+@given(partitions())
+def test_shared_block_intervals_match_offsets(part):
+    assert block_intervals(part) == tuple(
+        Interval("work", part.offset(b), part.offset(b) + part.size(b))
+        for b in range(part.p))
+
+
+@given(partitions())
+def test_offsets_stay_out_of_fields_equality_and_repr(part):
+    twin = Partition(part.n, tuple(part.sizes))
+    assert twin == part and hash(twin) == hash(part)
+    assert repr(part) == f"Partition(n={part.n}, sizes={part.sizes!r})"
+    assert [f.name for f in fields(part)] == ["n", "sizes"]
